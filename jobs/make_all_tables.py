@@ -19,7 +19,9 @@ if __name__ == "__main__":
     t3 = table3_network_stats.run(spark)
     emit(to_markdown(t3), "../results/table3.md")
 
-    t4 = table4_top_influence.run(spark)
+    t4 = table4_top_influence.run(
+        spark, theta=table4_top_influence.profile_theta(args.profile)
+    )
     emit(to_markdown(t4), "../results/table4.md")
 
     out_dir = run_sweeps.run(spark, args.profile)

@@ -3,10 +3,12 @@
 The paper evaluates every recorded seed set with one fixed unbiased
 estimator per influence graph — 10⁷ RR sets ℛ_𝒢, Inf(S) ≈ n · F_ℛ(S) — so
 identical seed sets get identical estimates across algorithms and trials.
-We build the collection distributed (batches of RR sets generated in
-``mapInPandas`` workers over the broadcast graph) and evaluate either
-locally (bitmap over RR ids; used inside the trial runner) or as a Spark
-join (used to verify the dataflow path against DuckDB in tests).
+``build_oracle`` generates the collection in one Spark job: batches of RR
+sets fan out as an RDD over the broadcast graph, each worker groups its
+batches by vertex (``rr_piece``), and the driver merges the groups in
+linear time (``merge_pieces``). Estimates are evaluated locally (over RR
+ids grouped by vertex; used inside the trial runner) or as a Spark join
+(checked against DuckDB in tests).
 
 The 99% confidence half-width for an estimate is 1.288·n/√θ (a Bernoulli
 proportion at z = 2.576), as in the paper.
@@ -58,23 +60,74 @@ class RROracle:
         return pd.DataFrame({"rr_id": self.rr_ids, "vertex": vertex})
 
 
-def _from_membership(n: int, theta: int, rr_id, vertex) -> RROracle:
-    order = np.argsort(vertex, kind="stable")
-    v_sorted = np.asarray(vertex)[order]
-    ids_sorted = np.asarray(rr_id)[order]
+def rr_piece(
+    graph: CSRGraph, base_seed: int, batch: int, count: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Generate RR batch ``batch`` and group it by vertex.
+
+    Returns ``(batch, counts, ids)``: ``counts[v]`` RR sets of the batch
+    contain v, and ``ids`` lists their batch-local ids, vertex by vertex,
+    ascending within a vertex. The batch draws from
+    ``trial_rng(base_seed, batch)``.
+    """
+    rng = trial_rng(base_seed, batch)
+    res = rr_batch(graph, random_targets(graph.n, count, rng), rng)
+    # rr_batch lists members by (rr_id, vertex), so a stable sort by
+    # vertex keeps each vertex's ids ascending.
+    order = np.argsort(res.vertex, kind="stable")
+    counts = np.bincount(res.vertex, minlength=graph.n).astype(np.int64)
+    return batch, counts, res.rr_id[order]
+
+
+def merge_pieces(
+    n: int, theta: int, batch_size: int, pieces
+) -> RROracle:
+    """Merge vertex-grouped batches into one oracle in O(K + B·n).
+
+    Batch b holds RR ids ``b * batch_size`` onwards; its ids for vertex v go
+    after those of every earlier batch, so each vertex's ids stay ascending.
+    Raises ``ValueError`` on a missing or duplicate batch, on a malformed
+    piece and on an empty RR set (every RR set contains its target).
+    """
+    n_batches = -(-theta // batch_size)
+    by_batch = {}
+    for batch, counts, ids in pieces:
+        if not 0 <= batch < n_batches or batch in by_batch:
+            raise ValueError(f"unexpected or duplicate RR batch {batch}")
+        by_batch[batch] = (counts, ids)
+    if len(by_batch) != n_batches:
+        missing = sorted(set(range(n_batches)) - set(by_batch))
+        raise ValueError(f"missing RR batches {missing}")
+    total = np.zeros(n, dtype=np.int64)
+    for b in range(n_batches):
+        counts, ids = by_batch[b]
+        size = min(batch_size, theta - b * batch_size)
+        if counts.shape != (n,) or counts.sum() != len(ids):
+            raise ValueError(f"RR batch {b}: counts do not match its ids")
+        if len(ids) and (ids.min() < 0 or ids.max() >= size):
+            raise ValueError(f"RR batch {b}: id out of range [0, {size})")
+        if np.bincount(ids, minlength=size).min() == 0:
+            raise ValueError(f"RR batch {b}: empty RR set")
+        total += counts
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, v_sorted + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return RROracle(n, theta, indptr, ids_sorted.astype(np.int64))
+    np.cumsum(total, out=indptr[1:])
+    rr_ids = np.empty(indptr[-1], dtype=np.int64)
+    start = indptr[:-1].copy()  # next free slot per vertex
+    for b in range(n_batches):
+        counts, ids = by_batch[b]
+        first = np.cumsum(counts) - counts  # first entry of v within ids
+        dest = np.repeat(start - first, counts) + np.arange(len(ids))
+        rr_ids[dest] = ids + b * batch_size
+        start += counts
+    return RROracle(n, theta, indptr, rr_ids)
 
 
 def build_oracle_local(
     graph: CSRGraph, theta: int, base_seed: int = 7
 ) -> RROracle:
-    """Single-process build (tests, small θ)."""
-    rng = trial_rng(base_seed, 0)
-    res = rr_batch(graph, random_targets(graph.n, theta, rng), rng)
-    return _from_membership(graph.n, theta, res.rr_id, res.vertex)
+    """Single-process build (tests, small θ): one batch of θ RR sets."""
+    piece = rr_piece(graph, base_seed, 0, theta)
+    return merge_pieces(graph.n, theta, theta, [piece])
 
 
 def build_oracle(
@@ -84,43 +137,23 @@ def build_oracle(
     base_seed: int = 7,
     batch_size: int = 8192,
 ) -> RROracle:
-    """Distributed build: RR batches fan out over executors."""
-    n_batches = (theta + batch_size - 1) // batch_size
-    tasks = spark.createDataFrame(
-        pd.DataFrame(
-            {
-                "batch": np.arange(n_batches, dtype=np.int64),
-                "count": np.minimum(
-                    batch_size, theta - np.arange(n_batches) * batch_size
-                ).astype(np.int64),
-            }
-        )
-    ).repartition(max(1, min(n_batches, spark.sparkContext.defaultParallelism)))
-    bc = spark.sparkContext.broadcast(graph)
+    """Distributed build: one Spark job; every worker groups its own RR
+    batches by vertex and the driver merges them."""
+    sc = spark.sparkContext
+    n_batches = -(-theta // batch_size)
+    bc = sc.broadcast(graph)
 
     def gen(batches):
-        g = bc.value
-        for pdf in batches:
-            for batch, count in zip(pdf["batch"], pdf["count"]):
-                rng = trial_rng(base_seed, int(batch))
-                res = rr_batch(
-                    g, random_targets(g.n, int(count), rng), rng
-                )
-                yield pd.DataFrame(
-                    {
-                        "rr_id": res.rr_id + int(batch) * batch_size,
-                        "vertex": res.vertex,
-                    }
-                )
+        for b in batches:
+            count = min(batch_size, theta - b * batch_size)
+            yield rr_piece(bc.value, base_seed, b, count)
 
-    membership = tasks.mapInPandas(gen, schema="rr_id long, vertex long")
-    pdf = membership.toPandas()
-    # Re-densify rr ids (per-batch offsets leave gaps when a batch is short).
-    uniq, dense = np.unique(pdf["rr_id"].to_numpy(), return_inverse=True)
-    assert len(uniq) == theta, "every RR set contains its target"
-    return _from_membership(
-        graph.n, theta, dense, pdf["vertex"].to_numpy()
+    pieces = (
+        sc.parallelize(range(n_batches), min(n_batches, sc.defaultParallelism))
+        .mapPartitions(gen)
+        .collect()
     )
+    return merge_pieces(graph.n, theta, batch_size, pieces)
 
 
 def estimate_df(

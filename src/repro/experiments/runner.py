@@ -2,10 +2,11 @@
 
 One experiment = run algorithm ``alg`` with sample number ``s`` T times and
 record each random seed set with its oracle influence. Trials are
-independent, so they fan out as rows of a task DataFrame processed by
-``mapInPandas`` workers holding the broadcast CSR graph and RR oracle; all
+independent, so the task list is dealt round-robin to the partitions of an
+RDD whose Python workers hold the broadcast CSR graph and RR oracle and run
+``run_trial_local`` per task; the rows become a DataFrame, and all
 downstream statistics (entropy, means, percentiles, least sample numbers)
-are DataFrame aggregations over the returned trial table.
+are DataFrame aggregations over that trial table.
 
 Trial-result schema:
   network, setting, alg, sample_number, k, trial,
@@ -15,7 +16,6 @@ Trial-result schema:
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.algorithms import ALGORITHMS, make_estimator, run_greedy
@@ -38,11 +38,6 @@ class TrialTask:
     sample_number: int
     k: int
     trial: int
-
-
-def tasks_dataframe(spark: SparkSession, tasks: list[TrialTask]) -> DataFrame:
-    pdf = pd.DataFrame([t.__dict__ for t in tasks])
-    return spark.createDataFrame(pdf)
 
 
 def run_trial_local(
@@ -88,32 +83,20 @@ def run_trials(
     sc = spark.sparkContext
     bc_graph = sc.broadcast(graph)
     bc_oracle = sc.broadcast(oracle)
+    # Round-robin, not contiguous slices: a sweep lists tasks by sample
+    # number, whose costs span orders of magnitude.
     n_parts = max(1, min(len(tasks), sc.defaultParallelism * 4))
-    tasks_df = tasks_dataframe(spark, tasks).repartition(n_parts)
+    hands = [tasks[i::n_parts] for i in range(n_parts)]
 
-    def work(batches):
-        g = bc_graph.value
-        orc = bc_oracle.value
-        for pdf in batches:
-            rows = [
-                run_trial_local(
-                    g,
-                    orc,
-                    TrialTask(
-                        r.network,
-                        r.setting,
-                        r.alg,
-                        int(r.sample_number),
-                        int(r.k),
-                        int(r.trial),
-                    ),
-                    base_seed,
+    def work(part):
+        for hand in part:
+            for task in hand:
+                yield run_trial_local(
+                    bc_graph.value, bc_oracle.value, task, base_seed
                 )
-                for r in pdf.itertuples()
-            ]
-            yield pd.DataFrame(rows)
 
-    return tasks_df.mapInPandas(work, schema=RESULT_SCHEMA)
+    rows = sc.parallelize(hands, n_parts).mapPartitions(work)
+    return spark.createDataFrame(rows, RESULT_SCHEMA)
 
 
 def sweep_tasks(

@@ -5,7 +5,8 @@ need O(1) neighbour lookup, which Spark rows cannot give. ``to_csr``
 collects an influence-graph DataFrame once on the driver and lays it out as
 CSR (out-adjacency, for forward simulation) and CSC (in-adjacency, for
 reverse/RR sampling). The result is a plain dataclass of NumPy arrays, cheap
-to broadcast to ``mapInPandas`` workers.
+to broadcast to the Python workers of the oracle build and the trial
+fan-out.
 """
 from dataclasses import dataclass, field
 

@@ -105,3 +105,10 @@ def test_to_markdown_renders():
     md = to_markdown(pd.DataFrame({"a": [1.23456], "b": ["x"]}))
     assert md.splitlines()[0] == "| a | b |"
     assert "1.235" in md
+
+
+def test_table4_theta_follows_profile():
+    import table4_top_influence
+
+    assert table4_top_influence.profile_theta("test") == 1 << 14
+    assert table4_top_influence.profile_theta("quick") == 1 << 18

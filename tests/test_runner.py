@@ -87,14 +87,17 @@ def test_run_trials_matches_local(spark, karate):
     # The distributed path must produce byte-identical rows to the local
     # path (same SeedSequence per task).
     g, oracle = karate
-    tasks = [TrialTask("Karate", "UC_0.1", "ris", 64, 1, t) for t in range(4)]
-    dist = {
-        (r["trial"]): (r["seed_set"], r["influence"])
-        for r in run_trials(spark, g, oracle, tasks).collect()
-    }
+    tasks = sweep_tasks(
+        "Karate", "UC_0.1", 2, {"oneshot": [2], "snapshot": [4], "ris": [64]},
+        3,
+    )
+    df = run_trials(spark, g, oracle, tasks)
+    dist = {(r["alg"], r["trial"]): r.asDict() for r in df.collect()}
+    assert len(dist) == len(tasks)
     for t in tasks:
         local = run_trial_local(g, oracle, t, base_seed=2020)
-        assert dist[t.trial] == (local["seed_set"], local["influence"])
+        assert list(local) == df.columns  # every RESULT_SCHEMA column
+        assert dist[(t.alg, t.trial)] == local
 
 
 def test_influence_uses_shared_oracle(karate):
