@@ -15,16 +15,13 @@ Sample size = total number of live edges stored (≈ τ·m̃ in expectation).
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
+from repro.ic import single_seed_batches
 from repro.ic.live import reach_batch, sample_live_set
 
 
 class SnapshotEstimator:
     def __init__(
-        self,
-        graph: CSRGraph,
-        tau: int,
-        rng: np.random.Generator,
-        max_batch_cells: int = 50_000_000,
+        self, graph: CSRGraph, tau: int, rng: np.random.Generator
     ) -> None:
         if tau < 1:
             raise ValueError("tau must be >= 1")
@@ -34,43 +31,29 @@ class SnapshotEstimator:
         self.vertex_cost = 0
         self.edge_cost = 0
         self.sample_size = int(self.live.total_live_edges)
-        self.max_batch_cells = max_batch_cells
 
-    def _reach_from(self, seed_sets: list[np.ndarray]) -> np.ndarray:
-        """r_{G(i)}(seed set) for every (seed set, layer i) pair; returns a
-        (len(seed_sets), τ) matrix. Chunked over pairs."""
-        n = self.graph.n
+    def _reach(self, cand: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """r_{G(i)}(base ∪ {v}) for every candidate v and layer i; returns a
+        (len(cand), τ) matrix. Batch j is candidate j // τ on layer j % τ."""
         tau = self.tau
-        pairs = len(seed_sets) * tau
-        out = np.empty(pairs, dtype=np.int64)
-        per_chunk = max(tau, (self.max_batch_cells // max(1, n)) // 1)
-        for lo in range(0, pairs, per_chunk):
-            hi = min(pairs, lo + per_chunk)
-            B = hi - lo
-            layer = (np.arange(lo, hi, dtype=np.int64)) % tau
-            set_idx = (np.arange(lo, hi, dtype=np.int64)) // tau
-            lens = np.array([len(seed_sets[i]) for i in set_idx])
-            seed_b = np.repeat(np.arange(B, dtype=np.int64), lens)
-            seed_v = np.concatenate(
-                [seed_sets[i] for i in set_idx]
-            ).astype(np.int64) if lens.sum() else np.empty(0, np.int64)
-            res = reach_batch(self.live, layer, seed_b, seed_v, B)
-            out[lo:hi] = res.reached
+        out = np.empty(len(cand) * tau, dtype=np.int64)
+        for j, seed_b, seed_v in single_seed_batches(
+            cand, tau, base, self.graph.n
+        ):
+            res = reach_batch(self.live, j % tau, seed_b, seed_v, len(j))
+            out[j] = res.reached
             self.vertex_cost += res.vertex_cost
             self.edge_cost += res.edge_cost
-        return out.reshape(len(seed_sets), tau)
+        return out.reshape(len(cand), tau)
 
     def estimate_all(self, current_seeds: np.ndarray) -> np.ndarray:
-        n = self.graph.n
         current = np.asarray(current_seeds, dtype=np.int64)
         if len(current):
-            base = self._reach_from([current])[0]  # r_i(S), scanned once
+            # r_i(S), scanned once: S as {S[0]} ∪ S[1:].
+            base = self._reach(current[:1], current[1:])[0]
         else:
             base = np.zeros(self.tau, dtype=np.int64)
-        cand_sets = [
-            np.concatenate([current, [v]]) for v in range(n)
-        ]
-        reach = self._reach_from(cand_sets)  # (n, τ)
+        reach = self._reach(np.arange(self.graph.n, dtype=np.int64), current)
         return (reach - base[None, :]).mean(axis=1)
 
     def update(self, chosen: int) -> None:  # noqa: ARG002 — per Alg 3.3

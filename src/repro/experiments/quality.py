@@ -23,8 +23,10 @@ INSTANCE = ["network", "setting", "k"]
 
 def reference_influence(trials_pdf: pd.DataFrame) -> pd.DataFrame:
     """Per instance: modal seed set at the largest sample number and its
-    oracle influence, using the algorithm that reached the largest grid
-    value (ties → most trials, then 'ris', the paper's deepest grid)."""
+    oracle influence. Of the algorithms run at that sample number, 'ris'
+    (the paper's deepest grid) is used if present, else the alphabetically
+    first; among equally frequent seed sets the lexicographically first
+    ``seed_set`` string wins."""
     rows = []
     for keys, g in trials_pdf.groupby(INSTANCE):
         smax = g["sample_number"].max()

@@ -6,9 +6,8 @@ identical seed sets get identical estimates across algorithms and trials.
 ``build_oracle`` generates the collection in one Spark job: batches of RR
 sets fan out as an RDD over the broadcast graph, each worker groups its
 batches by vertex (``rr_piece``), and the driver merges the groups in
-linear time (``merge_pieces``). Estimates are evaluated locally (over RR
-ids grouped by vertex; used inside the trial runner) or as a Spark join
-(checked against DuckDB in tests).
+linear time (``merge_pieces``). Estimates are evaluated locally, over RR
+ids grouped by vertex, inside the trial runner.
 
 The 99% confidence half-width for an estimate is 1.288·n/√θ (a Bernoulli
 proportion at z = 2.576), as in the paper.
@@ -16,9 +15,7 @@ proportion at z = 2.576), as in the paper.
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.graphs.csr import CSRGraph
 from repro.ic.rr import rr_batch, random_targets
@@ -54,10 +51,6 @@ class RROracle:
         """Inf({v}) for all v in one pass (Table 4's workhorse)."""
         counts = np.diff(self.vert_indptr)
         return self.n * counts / self.theta
-
-    def membership_pandas(self) -> pd.DataFrame:
-        vertex = np.repeat(np.arange(self.n), np.diff(self.vert_indptr))
-        return pd.DataFrame({"rr_id": self.rr_ids, "vertex": vertex})
 
 
 def rr_piece(
@@ -155,31 +148,3 @@ def build_oracle(
     )
     return merge_pieces(graph.n, theta, batch_size, pieces)
 
-
-def estimate_df(
-    spark: SparkSession, oracle: RROracle, seed_sets: DataFrame
-) -> DataFrame:
-    """Spark-join evaluation: seed_sets (set_id, vertex) → (set_id, influence).
-
-    The dataflow twin of :meth:`RROracle.estimate`; oracle-checked against
-    DuckDB in tests. Sets whose vertices cover no RR set get influence 0.
-    """
-    membership = spark.createDataFrame(oracle.membership_pandas())
-    covered = (
-        seed_sets.join(membership, "vertex")
-        .select("set_id", "rr_id")
-        .distinct()
-        .groupBy("set_id")
-        .agg(F.count("*").alias("covered"))
-    )
-    return (
-        seed_sets.select("set_id").distinct()
-        .join(covered, "set_id", "left")
-        .select(
-            "set_id",
-            (
-                F.coalesce(F.col("covered"), F.lit(0))
-                * oracle.n / oracle.theta
-            ).alias("influence"),
-        )
-    )

@@ -1,8 +1,9 @@
 """Batched forward IC simulation (the Oneshot primitive).
 
-A batch of B independent diffusions runs as one frontier-expansion BFS over
-the disjoint union of B copies of the graph (vertex key = batch·n + v), with
-a fresh coin per examined edge — exactly the naive Oneshot of Algorithm 3.2.
+A batch of B independent diffusions runs as one :func:`repro.ic.frontier_bfs`
+over the out-adjacency of B disjoint copies of the graph (vertex key =
+batch·n + v), with a fresh coin per examined edge — exactly the naive
+Oneshot of Algorithm 3.2.
 
 Traversal-cost accounting follows the paper's appendix: every activated
 vertex is scanned once (vertex cost) and all of its out-edges are examined
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.ic import gather_edges
+from repro.ic import frontier_bfs, single_seed_batches
 
 
 @dataclass
@@ -34,27 +35,11 @@ def simulate_batch(
     """Run ``n_batches`` IC diffusions; simulation i starts from the seed
     vertices ``seed_v[seed_b == i]``."""
     n = graph.n
-    key = np.unique(seed_b.astype(np.int64) * n + seed_v.astype(np.int64))
-    active = np.zeros(n_batches * n, dtype=bool)
-    active[key] = True
-    f_b, f_v = key // n, key % n
-    vertex_cost = 0
-    edge_cost = 0
-    while len(f_v):
-        vertex_cost += len(f_v)
-        eidx, owner = gather_edges(graph.out_indptr, f_v)
-        edge_cost += len(eidx)
-        if len(eidx) == 0:
-            break
-        hit = rng.random(len(eidx)) < graph.out_p[eidx]
-        tkey = f_b[owner[hit]] * n + graph.out_dst[eidx[hit]]
-        tkey = np.unique(tkey)
-        tkey = tkey[~active[tkey]]
-        active[tkey] = True
-        f_b, f_v = tkey // n, tkey % n
-    counts = np.bincount(
-        np.flatnonzero(active) // n, minlength=n_batches
-    ).astype(np.int64)
+    visited, vertex_cost, edge_cost = frontier_bfs(
+        graph.out_indptr, graph.out_dst, graph.out_p,
+        seed_b.astype(np.int64) * n + seed_v, n, n_batches, rng,
+    )
+    counts = np.bincount(visited // n, minlength=n_batches).astype(np.int64)
     return SimBatchResult(counts, vertex_cost, edge_cost)
 
 
@@ -64,36 +49,22 @@ def simulate_single_seeds(
     beta: int,
     rng: np.random.Generator,
     base_seeds: np.ndarray | None = None,
-    max_batch_cells: int = 50_000_000,
 ) -> SimBatchResult:
     """β simulations from ``{base_seeds} ∪ {v}`` for every candidate v.
 
     Returns per-candidate *summed* activation counts over the β runs (divide
     by β for the Oneshot estimate). Chunked so the batch × n state array
-    stays under ``max_batch_cells`` cells.
+    stays under ``repro.ic.MAX_BATCH_CELLS`` cells.
     """
-    base = (
-        np.asarray(base_seeds, dtype=np.int64)
-        if base_seeds is not None
-        else np.empty(0, dtype=np.int64)
-    )
-    n_cand = len(candidates)
-    totals = np.zeros(n_cand, dtype=np.int64)
+    base = np.asarray([] if base_seeds is None else base_seeds, np.int64)
+    cand = np.asarray(candidates, dtype=np.int64)
+    totals = np.zeros(len(cand), dtype=np.int64)
     vertex_cost = 0
     edge_cost = 0
-    sims_per_chunk = max(1, max_batch_cells // max(1, graph.n))
-    cand_rep = np.repeat(candidates.astype(np.int64), beta)  # one sim each
-    for lo in range(0, n_cand * beta, sims_per_chunk):
-        chunk = cand_rep[lo : lo + sims_per_chunk]
-        B = len(chunk)
-        sb = np.concatenate(
-            [np.arange(B, dtype=np.int64), np.repeat(np.arange(B), len(base))]
-        )
-        sv = np.concatenate([chunk, np.tile(base, B)])
-        res = simulate_batch(graph, sb, sv, B, rng)
+    for j, seed_b, seed_v in single_seed_batches(cand, beta, base, graph.n):
+        res = simulate_batch(graph, seed_b, seed_v, len(j), rng)
         # Fold per-simulation counts back onto candidates.
-        cand_idx = (lo + np.arange(B)) // beta
-        np.add.at(totals, cand_idx, res.activated)
+        np.add.at(totals, j // beta, res.activated)
         vertex_cost += res.vertex_cost
         edge_cost += res.edge_cost
     return SimBatchResult(totals, vertex_cost, edge_cost)

@@ -2,8 +2,9 @@
 
 ``sample_live`` draws one random graph G ~ 𝒢 by keeping each edge e with
 probability p(e) (Snapshot's Build). ``LiveGraphSet`` packs τ of them as
-layers of one big CSR (layer i's vertex v = i·n + v) so that reachability
-queries against many (graph, seed-set) pairs run as a single batched BFS.
+layers of one big CSR (layer i's vertex v is row i·n + v; destinations stay
+layer-local) so that reachability queries against many (graph, seed-set)
+pairs run as one coin-free :func:`repro.ic.frontier_bfs`.
 
 Cost accounting per the paper: *Estimate* scans each reachable vertex once
 (vertex cost) and examines its outgoing **live** edges (edge cost) — this is
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.ic import gather_edges
+from repro.ic import frontier_bfs
 
 
 @dataclass(frozen=True)
@@ -40,12 +41,12 @@ def sample_live(graph: CSRGraph, rng: np.random.Generator) -> LiveGraph:
 
 @dataclass(frozen=True)
 class LiveGraphSet:
-    """τ live graphs stacked as layers of one CSR (vertex = layer·n + v)."""
+    """τ live graphs stacked as layers of one CSR (row = layer·n + v)."""
 
     n: int
     tau: int
     indptr: np.ndarray  # int64[τ·n + 1]
-    dst: np.ndarray  # destinations in layer-local ids plus layer offset
+    dst: np.ndarray  # layer-local destination ids
 
     @property
     def total_live_edges(self) -> int:
@@ -60,17 +61,16 @@ def sample_live_set(
     graph: CSRGraph, tau: int, rng: np.random.Generator
 ) -> LiveGraphSet:
     """Snapshot Build: sample τ live graphs into one layered structure."""
-    n = graph.n
-    indptrs = [np.int64(0)]
+    indptrs = []
     dsts = []
     base = np.int64(0)
-    for i in range(tau):
+    for _ in range(tau):
         g = sample_live(graph, rng)
         indptrs.append(g.indptr[1:] + base)
-        dsts.append(g.dst + i * n)
+        dsts.append(g.dst)
         base += g.m_live
     return LiveGraphSet(
-        n, tau, np.concatenate([[0], np.concatenate(indptrs[1:])]),
+        graph.n, tau, np.concatenate([[0], *indptrs]),
         np.concatenate(dsts) if dsts else np.empty(0, dtype=np.int64),
     )
 
@@ -93,27 +93,9 @@ def reach_batch(
     ``layer_of_batch[b]`` from seeds ``seed_v[seed_b == b]`` (layer-local
     vertex ids). Deterministic — no coins; the randomness lives in Build."""
     n = live.n
-    layer = layer_of_batch.astype(np.int64)
-    key = np.unique(seed_b.astype(np.int64) * n + seed_v.astype(np.int64))
-    active = np.zeros(n_batches * n, dtype=bool)
-    active[key] = True
-    f_b, f_v = key // n, key % n
-    vertex_cost = 0
-    edge_cost = 0
-    while len(f_v):
-        vertex_cost += len(f_v)
-        # Global (layered) vertex ids for CSR lookup.
-        gv = layer[f_b] * n + f_v
-        eidx, owner = gather_edges(live.indptr, gv)
-        edge_cost += len(eidx)
-        if len(eidx) == 0:
-            break
-        tkey = f_b[owner] * n + (live.dst[eidx] % n)
-        tkey = np.unique(tkey)
-        tkey = tkey[~active[tkey]]
-        active[tkey] = True
-        f_b, f_v = tkey // n, tkey % n
-    counts = np.bincount(
-        np.flatnonzero(active) // n, minlength=n_batches
-    ).astype(np.int64)
+    visited, vertex_cost, edge_cost = frontier_bfs(
+        live.indptr, live.dst, None, seed_b.astype(np.int64) * n + seed_v,
+        n, n_batches, None, row=layer_of_batch.astype(np.int64) * n,
+    )
+    counts = np.bincount(visited // n, minlength=n_batches).astype(np.int64)
     return ReachBatchResult(counts, vertex_cost, edge_cost)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro import ic
 from repro.ic.exact import exact_influence
 from repro.ic.forward import simulate_batch, simulate_single_seeds
 from tests.helpers import (
@@ -129,14 +130,14 @@ class TestSingleSeedScan:
         )
         assert list(res.activated) == [8]  # all 4 vertices, twice
 
-    def test_chunking_matches_unchunked(self):
+    def test_chunking_matches_unchunked(self, monkeypatch):
         g = path_graph(6, p=1.0)
         a = simulate_single_seeds(
             g, np.arange(6, dtype=np.int64), 4, np.random.default_rng(1)
         )
+        monkeypatch.setattr(ic, "MAX_BATCH_CELLS", 7)  # forces many chunks
         b = simulate_single_seeds(
-            g, np.arange(6, dtype=np.int64), 4, np.random.default_rng(1),
-            max_batch_cells=7,  # forces many chunks
+            g, np.arange(6, dtype=np.int64), 4, np.random.default_rng(1)
         )
         assert list(a.activated) == list(b.activated)
         assert a.vertex_cost == b.vertex_cost

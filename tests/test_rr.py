@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro import ic
 from repro.ic.exact import exact_influence
 from repro.ic.rr import random_targets, rr_batch, rr_sets
 from tests.helpers import graph_from_edges, path_graph, random_tiny_graph, ref_rr_set
@@ -90,9 +91,10 @@ class TestCosts:
         assert res.vertex_cost == res.sizes.sum()
         assert res.edge_cost == res.weights.sum()
 
-    def test_chunked_generation_counts(self):
+    def test_chunked_generation_counts(self, monkeypatch):
         g = path_graph(4, p=0.5)
-        res = rr_sets(g, 1000, np.random.default_rng(6), max_batch_cells=64)
+        monkeypatch.setattr(ic, "MAX_BATCH_CELLS", 64)
+        res = rr_sets(g, 1000, np.random.default_rng(6))
         assert len(res.sizes) == 1000
         assert res.rr_id.max() == 999 or 999 in res.rr_id
 

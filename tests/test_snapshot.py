@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ic
 from repro.algorithms.snapshot import SnapshotEstimator
 from repro.ic.exact import exact_singleton_influences
 from tests.helpers import path_graph, random_tiny_graph
@@ -92,10 +93,11 @@ def test_rejects_bad_tau():
         SnapshotEstimator(path_graph(2), 0, np.random.default_rng(0))
 
 
-def test_chunking_consistency():
+def test_chunking_consistency(monkeypatch):
     g = path_graph(6, p=1.0)
     rng1, rng2 = np.random.default_rng(6), np.random.default_rng(6)
     a = SnapshotEstimator(g, 7, rng1).estimate_all(np.empty(0, np.int64))
-    small = SnapshotEstimator(g, 7, rng2, max_batch_cells=13)
+    small = SnapshotEstimator(g, 7, rng2)
+    monkeypatch.setattr(ic, "MAX_BATCH_CELLS", 13)
     b = small.estimate_all(np.empty(0, np.int64))
     assert np.array_equal(a, b)
