@@ -1,31 +1,16 @@
-"""Shared plumbing for the spark-submit job entrypoints.
+"""Shared plumbing for the job entrypoints.
 
-Jobs are thin wrappers: the logic lives in ``repro.*`` functions that take a
-SparkSession. Under pytest the session fixture is used instead; here we
-create (or reuse) one for spark-submit / plain-python execution.
+Jobs are thin wrappers: parse arguments, get the session from
+``repro.spark.get_spark``, call one ``repro.experiments.tables`` function
+and emit its markdown.
 """
 import argparse
 import os
 import sys
 
-RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "results")
-
-
-def get_spark(app: str):
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        "--master local[*] --driver-memory 8g "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
-    from pyspark.sql import SparkSession
-
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
+RESULTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results"
+)
 
 
 def argparser(desc: str) -> argparse.ArgumentParser:

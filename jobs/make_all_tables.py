@@ -1,50 +1,40 @@
-"""Regenerate every results/*.md from the sweep parquet in one session.
+"""Regenerate every table in one Spark session, from any working directory.
 
-Equivalent to running the per-table jobs in sequence, but measures Table 8
-once and reuses it for Table 9.
+Writes ``table3.md`` … ``table9.md`` under ``--out``: by default
+``results/`` for ``--profile quick`` and ``results/test/`` for
+``--profile test``. Table 8 is measured once and reused for Table 9.
 """
-import run_sweeps
-import table3_network_stats
-import table4_top_influence
-import table8_traversal_cost
-import table9_conditioned_cost
-from _common import argparser, emit, get_spark
+import os
 
-from repro.experiments.tables import table5, table6_and_7, to_markdown
+import run_sweeps
+from _common import RESULTS_DIR, argparser, emit
+
+from repro.experiments import instances, tables
+from repro.spark import get_spark
 
 if __name__ == "__main__":
     args = argparser("All tables").parse_args()
+    out_dir = args.out or (
+        RESULTS_DIR if args.profile == "quick"
+        else os.path.join(RESULTS_DIR, args.profile)
+    )
     spark = get_spark("all-tables")
 
-    t3 = table3_network_stats.run(spark)
-    emit(to_markdown(t3), "../results/table3.md")
+    def write(n: int, df) -> None:
+        emit(tables.to_markdown(df), os.path.join(out_dir, f"table{n}.md"))
 
-    t4 = table4_top_influence.run(
-        spark, theta=table4_top_influence.profile_theta(args.profile)
-    )
-    emit(to_markdown(t4), "../results/table4.md")
-
-    out_dir = run_sweeps.run(spark, args.profile)
-    trials = run_sweeps.load_trials(spark, out_dir).cache()
-
-    t5 = table5(trials)
-    emit(
-        to_markdown(t5.sort_values(["network", "setting", "k", "alg"])),
-        "../results/table5.md",
-    )
-
-    t6, t7 = table6_and_7(trials)
-    emit(to_markdown(t6.sort_values(["network", "setting", "k"])),
-         "../results/table6.md")
-    emit(to_markdown(t7.sort_values(["network", "setting", "k"])),
-         "../results/table7.md")
-
-    t8 = table8_traversal_cost.run(spark, args.profile)
-    emit(to_markdown(t8), "../results/table8.md")
-
-    t9 = table9_conditioned_cost.run(spark, trials, t8)
-    emit(
-        to_markdown(t9.sort_values(["network", "setting", "alg"])),
-        "../results/table9.md",
-    )
+    write(3, tables.table3(spark))
+    write(4, tables.table4(
+        spark, theta=instances.profile_theta(args.profile)
+    ))
+    trials = run_sweeps.load_trials(
+        spark, run_sweeps.run(spark, args.profile)
+    ).cache()
+    write(5, tables.table5(trials))
+    t6, t7 = tables.table6_and_7(trials)
+    write(6, t6)
+    write(7, t7)
+    t8 = tables.table8(spark, args.profile)
+    write(8, t8)
+    write(9, tables.table9(trials, t8))
     print("ALL TABLES DONE")

@@ -1,36 +1,10 @@
 """Table 3 — network statistics for every registered network."""
-import pandas as pd
+from _common import argparser, emit
 
-from repro.experiments.tables import to_markdown
-from repro.graphs import build_network, to_csr
-from repro.graphs.networks import NETWORKS
-from repro.graphs.stats import table3_row
-
-
-def run(spark, networks=None) -> pd.DataFrame:
-    rows = []
-    for name in networks or NETWORKS:
-        spec = NETWORKS[name]
-        edges = build_network(spark, name)
-        graph = to_csr(edges)
-        row = table3_row(
-            edges, graph, with_distance=name in ("Karate", "BA_s", "BA_d")
-        )
-        rows.append(
-            {
-                "network": name,
-                "kind": spec.kind,
-                "paper_n": spec.paper_n,
-                "paper_m": spec.paper_m,
-                **row,
-            }
-        )
-    return pd.DataFrame(rows)
-
+from repro.experiments import tables
+from repro.spark import get_spark
 
 if __name__ == "__main__":
-    from _common import argparser, emit, get_spark
-
     args = argparser("Table 3: network statistics").parse_args()
-    spark = get_spark("table3")
-    emit(to_markdown(run(spark)), args.out)
+    t3 = tables.table3(get_spark("table3"))
+    emit(tables.to_markdown(t3), args.out)

@@ -1,19 +1,12 @@
 """Table 5 — least sample number (and entropy) for near-optimal @99%."""
+import run_sweeps
+from _common import argparser, emit
 
-
-def run(spark, trials_df):
-    from repro.experiments.tables import table5
-
-    return table5(trials_df)
-
+from repro.experiments import tables
+from repro.spark import get_spark
 
 if __name__ == "__main__":
-    import run_sweeps
-    from _common import argparser, emit, get_spark
-    from repro.experiments.tables import to_markdown
-
     args = argparser("Table 5: least sample number").parse_args()
     spark = get_spark("table5")
-    out_dir = run_sweeps.run(spark, args.profile)
-    t5 = run(spark, run_sweeps.load_trials(spark, out_dir))
-    emit(to_markdown(t5.sort_values(["network", "setting", "k", "alg"])), args.out)
+    trials = run_sweeps.load_trials(spark, run_sweeps.run(spark, args.profile))
+    emit(tables.to_markdown(tables.table5(trials)), args.out)

@@ -1,19 +1,12 @@
 """Table 6 — median comparable number ratio of Oneshot to Snapshot."""
+import run_sweeps
+from _common import argparser, emit
 
-
-def run(spark, trials_df):
-    from repro.experiments.tables import table6_and_7
-
-    return table6_and_7(trials_df)[0]
-
+from repro.experiments import tables
+from repro.spark import get_spark
 
 if __name__ == "__main__":
-    import run_sweeps
-    from _common import argparser, emit, get_spark
-    from repro.experiments.tables import to_markdown
-
     args = argparser("Table 6: Oneshot vs Snapshot").parse_args()
     spark = get_spark("table6")
-    out_dir = run_sweeps.run(spark, args.profile)
-    t6 = run(spark, run_sweeps.load_trials(spark, out_dir))
-    emit(to_markdown(t6.sort_values(["network", "setting", "k"])), args.out)
+    trials = run_sweeps.load_trials(spark, run_sweeps.run(spark, args.profile))
+    emit(tables.to_markdown(tables.table6_and_7(trials)[0]), args.out)

@@ -1,19 +1,12 @@
 """Table 7 — median comparable number & size ratio of RIS to Snapshot."""
+import run_sweeps
+from _common import argparser, emit
 
-
-def run(spark, trials_df):
-    from repro.experiments.tables import table6_and_7
-
-    return table6_and_7(trials_df)[1]
-
+from repro.experiments import tables
+from repro.spark import get_spark
 
 if __name__ == "__main__":
-    import run_sweeps
-    from _common import argparser, emit, get_spark
-    from repro.experiments.tables import to_markdown
-
     args = argparser("Table 7: RIS vs Snapshot").parse_args()
     spark = get_spark("table7")
-    out_dir = run_sweeps.run(spark, args.profile)
-    t7 = run(spark, run_sweeps.load_trials(spark, out_dir))
-    emit(to_markdown(t7.sort_values(["network", "setting", "k"])), args.out)
+    trials = run_sweeps.load_trials(spark, run_sweeps.run(spark, args.profile))
+    emit(tables.to_markdown(tables.table6_and_7(trials)[1]), args.out)

@@ -1,29 +1,10 @@
-"""Table 8 — per-sample traversal cost at k = 1, sample number 1.
+"""Table 8 — per-sample traversal cost at k = 1, sample number 1."""
+from _common import argparser, emit
 
-Each (network, setting) measurement is independent; they fan out over the
-cluster as one task row each (the kernels inside are already vectorized).
-"""
-import pandas as pd
-
-
-def run(spark, profile: str = "quick") -> pd.DataFrame:
-    from repro.experiments.instances import traversal_instances
-    from repro.experiments.tables import cached_graph
-    from repro.experiments.traversal import table8_rows
-
-    rows = []
-    for net, setting, trials, with_oneshot in traversal_instances(profile):
-        graph = cached_graph(spark, net, setting)
-        rows.extend(
-            table8_rows(graph, net, setting, trials, with_oneshot)
-        )
-    return pd.DataFrame(rows)
-
+from repro.experiments import tables
+from repro.spark import get_spark
 
 if __name__ == "__main__":
-    from _common import argparser, emit, get_spark
-    from repro.experiments.tables import to_markdown
-
     args = argparser("Table 8: traversal cost").parse_args()
-    t8 = run(get_spark("table8"), args.profile)
-    emit(to_markdown(t8), args.out)
+    t8 = tables.table8(get_spark("table8"), args.profile)
+    emit(tables.to_markdown(t8), args.out)

@@ -1,29 +1,16 @@
 """Table 9 — traversal cost conditioned on identical accuracy.
 
-Pure arithmetic over Tables 6, 7 and 8, as in the paper (§6): cost per γ =
-(vertex + edge cost at sample number 1) × comparable-number-ratio-to-
-Snapshot.
+Pure arithmetic over Tables 6, 7 and 8, as in the paper (§6).
 """
+import run_sweeps
+from _common import argparser, emit
 
-
-def run(spark, trials_df, table8_df):
-    from repro.experiments.tables import table6_and_7
-    from repro.experiments.traversal import table9_rows
-
-    t6, t7 = table6_and_7(trials_df)
-    return table9_rows(table8_df, t6, t7)
-
+from repro.experiments import tables
+from repro.spark import get_spark
 
 if __name__ == "__main__":
-    import run_sweeps
-    import table8_traversal_cost
-    from _common import argparser, emit, get_spark
-    from repro.experiments.tables import to_markdown
-
     args = argparser("Table 9: conditioned traversal cost").parse_args()
     spark = get_spark("table9")
-    out_dir = run_sweeps.run(spark, args.profile)
-    trials = run_sweeps.load_trials(spark, out_dir)
-    t8 = table8_traversal_cost.run(spark, args.profile)
-    t9 = run(spark, trials, t8)
-    emit(to_markdown(t9.sort_values(["network", "setting", "alg"])), args.out)
+    trials = run_sweeps.load_trials(spark, run_sweeps.run(spark, args.profile))
+    t9 = tables.table9(trials, tables.table8(spark, args.profile))
+    emit(tables.to_markdown(t9), args.out)

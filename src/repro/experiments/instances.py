@@ -85,6 +85,11 @@ def sweeps(profile: str = "quick") -> list[Sweep]:
     return out
 
 
+def profile_theta(profile: str) -> int:
+    """Table 4's RR sets per oracle: 2¹⁴ under ``test``, else 2¹⁸."""
+    return 1 << (14 if profile == "test" else 18)
+
+
 # Table 8 instance list: (network, setting, T, include_oneshot).
 def traversal_instances(profile: str = "quick"):
     if profile == "test":

@@ -1,14 +1,21 @@
-"""Table assembly: glue between sweeps, analytics, and the job scripts."""
+"""Every evaluation table (Tables 3–9) as one function.
+
+A table builds the influence graphs and RR oracles it reads and drops them
+when it returns. Tables 5–7 and 9 aggregate the shared trial DataFrame that
+``jobs/run_sweeps.py`` writes; Table 9 also reads Table 8.
+"""
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.experiments import quality, ratios
-from repro.experiments.instances import Sweep
-from repro.experiments.rr_oracle import RROracle, build_oracle
-from repro.experiments.runner import run_trials, sweep_tasks
+from repro.experiments.instances import traversal_instances
+from repro.experiments.rr_oracle import build_oracle
+from repro.experiments.traversal import table8_rows, table9_rows
 from repro.graphs import assign_probabilities, build_network, to_csr
 from repro.graphs.csr import CSRGraph
+from repro.graphs.networks import NETWORKS
+from repro.graphs.stats import table3_row
 
 
 def load_influence_graph(
@@ -19,36 +26,26 @@ def load_influence_graph(
     return to_csr(assign_probabilities(edges, setting))
 
 
-_ORACLE_CACHE: dict[tuple[str, str, int], RROracle] = {}
-_GRAPH_CACHE: dict[tuple[str, str], CSRGraph] = {}
-
-
-def cached_graph(spark, network: str, setting: str) -> CSRGraph:
-    key = (network, setting)
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = load_influence_graph(spark, network, setting)
-    return _GRAPH_CACHE[key]
-
-
-def cached_oracle(spark, network: str, setting: str, theta: int) -> RROracle:
-    key = (network, setting, theta)
-    if key not in _ORACLE_CACHE:
-        _ORACLE_CACHE[key] = build_oracle(
-            spark, cached_graph(spark, network, setting), theta
+def table3(spark: SparkSession, networks=None) -> pd.DataFrame:
+    """Network statistics for every registered network (or ``networks``)."""
+    rows = []
+    for name in networks or NETWORKS:
+        spec = NETWORKS[name]
+        edges = build_network(spark, name)
+        row = table3_row(
+            edges, to_csr(edges),
+            with_distance=name in ("Karate", "BA_s", "BA_d"),
         )
-    return _ORACLE_CACHE[key]
-
-
-def run_sweep(spark: SparkSession, sweep: Sweep) -> DataFrame:
-    """Execute one sweep: all (alg × sample number × trial) tasks."""
-    graph = cached_graph(spark, sweep.network, sweep.setting)
-    oracle = cached_oracle(
-        spark, sweep.network, sweep.setting, sweep.oracle_theta
-    )
-    tasks = sweep_tasks(
-        sweep.network, sweep.setting, sweep.k, sweep.grids, sweep.trials
-    )
-    return run_trials(spark, graph, oracle, tasks)
+        rows.append(
+            {
+                "network": name,
+                "kind": spec.kind,
+                "paper_n": spec.paper_n,
+                "paper_m": spec.paper_m,
+                **row,
+            }
+        )
+    return pd.DataFrame(rows)
 
 
 def table4(
@@ -61,7 +58,8 @@ def table4(
     rows = []
     for net in networks:
         for setting in settings:
-            oracle = cached_oracle(spark, net, setting, theta)
+            graph = load_influence_graph(spark, net, setting)
+            oracle = build_oracle(spark, graph, theta)
             inf = np.sort(oracle.singleton_estimates())[::-1]
             rows.append(
                 {
@@ -76,15 +74,36 @@ def table4(
 
 
 def table5(trials: DataFrame) -> pd.DataFrame:
-    refs = quality.reference_influence(
-        trials.toPandas()
-    )
-    return quality.least_sample_number(trials, refs)
+    """Least sample number and entropy for near-optimal @99%."""
+    refs = quality.reference_influence(trials.toPandas())
+    t5 = quality.least_sample_number(trials, refs)
+    return t5.sort_values(["network", "setting", "k", "alg"])
 
 
 def table6_and_7(trials: DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """Median comparable ratios: Oneshot→Snapshot (6), RIS→Snapshot (7)."""
     stats = ratios.mean_stats(trials)
-    return ratios.table6(stats), ratios.table7(stats)
+    keys = ["network", "setting", "k"]
+    return (
+        ratios.table6(stats).sort_values(keys),
+        ratios.table7(stats).sort_values(keys),
+    )
+
+
+def table8(spark: SparkSession, profile: str = "quick") -> pd.DataFrame:
+    """Per-sample traversal cost at k = 1, sample number 1, per instance."""
+    rows = []
+    for net, setting, trials, with_oneshot in traversal_instances(profile):
+        graph = load_influence_graph(spark, net, setting)
+        rows.extend(table8_rows(graph, net, setting, trials, with_oneshot))
+    return pd.DataFrame(rows)
+
+
+def table9(trials: DataFrame, t8: pd.DataFrame) -> pd.DataFrame:
+    """Traversal cost conditioned on identical accuracy (§6): Table 8's cost
+    at sample number 1 × the comparable number ratio to Snapshot."""
+    t6, t7 = table6_and_7(trials)
+    return table9_rows(t8, t6, t7).sort_values(["network", "setting", "alg"])
 
 
 def to_markdown(df: pd.DataFrame, floatfmt: str = "{:.4g}") -> str:

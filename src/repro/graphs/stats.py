@@ -12,6 +12,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graphs.csr import CSRGraph
+from repro.ic import gather_edges
 
 
 def degree_stats(edges: DataFrame) -> dict:
@@ -104,13 +105,9 @@ def average_distance(graph: CSRGraph, max_n: int = 2000) -> float | None:
         d = 0
         while len(frontier):
             d += 1
-            cnt = indptr[frontier + 1] - indptr[frontier]
-            tot = int(cnt.sum())
-            if tot == 0:
+            idx, _ = gather_edges(indptr, frontier)
+            if len(idx) == 0:
                 break
-            idx = np.repeat(indptr[frontier], cnt) + (
-                np.arange(tot) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            )
             nxt = np.unique(dst[idx])
             nxt = nxt[dist[nxt] < 0]
             dist[nxt] = d

@@ -1,9 +1,13 @@
-"""Smoke tests: every table job runs end-to-end at the test profile."""
+"""Smoke tests: every table runs end-to-end at the test profile, and the
+sweep job resumes only completed sweeps."""
 import os
+import shutil
 import sys
 
 import pandas as pd
 import pytest
+
+from repro.experiments import instances, rr_oracle, tables
 
 JOBS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs")
 if JOBS_DIR not in sys.path:
@@ -20,9 +24,7 @@ def trials(spark, tmp_path_factory):
 
 
 def test_table3_job(spark):
-    import table3_network_stats
-
-    t3 = table3_network_stats.run(spark, networks=["Karate", "BA_s"])
+    t3 = tables.table3(spark, networks=["Karate", "BA_s"])
     assert list(t3["network"]) == ["Karate", "BA_s"]
     karate = t3[t3["network"] == "Karate"].iloc[0]
     assert karate["n"] == 34 and karate["m"] == 156
@@ -30,9 +32,7 @@ def test_table3_job(spark):
 
 
 def test_table4_job(spark):
-    import table4_top_influence
-
-    t4 = table4_top_influence.run(spark, theta=1 << 13)
+    t4 = tables.table4(spark, theta=1 << 13)
     assert len(t4) == 8  # 2 networks × 4 settings
     assert (t4["inf_1st"] >= t4["inf_2nd"]).all()
     assert (t4["inf_2nd"] >= t4["inf_3rd"]).all()
@@ -49,27 +49,21 @@ def test_sweep_parquet_shape(trials):
     assert pdf.groupby(["setting", "alg", "sample_number"]).size().min() == 20
 
 
-def test_table5_job(spark, trials):
-    import table5_least_sample_number
-
-    t5 = table5_least_sample_number.run(spark, trials)
+def test_table5_job(trials):
+    t5 = tables.table5(trials)
     assert set(t5["alg"]) == {"oneshot", "snapshot", "ris"}
     # Each (setting, alg) appears once for k=1.
     assert len(t5) == 6
 
 
-def test_table6_job(spark, trials):
-    import table6_oneshot_vs_snapshot
-
-    t6 = table6_oneshot_vs_snapshot.run(spark, trials)
+def test_table6_job(trials):
+    t6 = tables.table6_and_7(trials)[0]
     assert len(t6) == 2  # two settings in the test profile
     assert "median_number_ratio" in t6.columns
 
 
-def test_table7_job(spark, trials):
-    import table7_ris_vs_snapshot
-
-    t7 = table7_ris_vs_snapshot.run(spark, trials)
+def test_table7_job(trials):
+    t7 = tables.table6_and_7(trials)[1]
     assert len(t7) == 2
     # RIS samples are smaller than Snapshot's on Karate (size ratio < 1 is
     # the paper's space-saving finding; keep a loose bound here).
@@ -77,9 +71,7 @@ def test_table7_job(spark, trials):
 
 
 def test_table8_job(spark):
-    import table8_traversal_cost
-
-    t8 = table8_traversal_cost.run(spark, profile="test")
+    t8 = tables.table8(spark, profile="test")
     assert set(t8["alg"]) == {"oneshot", "snapshot", "ris"}
     k = t8.set_index("alg")
     # Karate UC_0.1 shape: vertex cost Oneshot ≈ Snapshot ≫ RIS.
@@ -90,25 +82,69 @@ def test_table8_job(spark):
 
 
 def test_table9_job(spark, trials):
-    import table8_traversal_cost
-    import table9_conditioned_cost
-
-    t8 = table8_traversal_cost.run(spark, profile="test")
-    t9 = table9_conditioned_cost.run(spark, trials, t8)
+    t8 = tables.table8(spark, profile="test")
+    t9 = tables.table9(trials, t8)
     assert set(t9["alg"]) == {"oneshot", "snapshot", "ris"}
     assert (t9["cost_per_gamma"].dropna() > 0).all()
 
 
 def test_to_markdown_renders():
-    from repro.experiments.tables import to_markdown
-
-    md = to_markdown(pd.DataFrame({"a": [1.23456], "b": ["x"]}))
+    md = tables.to_markdown(pd.DataFrame({"a": [1.23456], "b": ["x"]}))
     assert md.splitlines()[0] == "| a | b |"
     assert "1.235" in md
 
 
 def test_table4_theta_follows_profile():
-    import table4_top_influence
+    assert instances.profile_theta("test") == 1 << 14
+    assert instances.profile_theta("quick") == 1 << 18
 
-    assert table4_top_influence.profile_theta("test") == 1 << 14
-    assert table4_top_influence.profile_theta("quick") == 1 << 18
+
+def test_run_sweeps_resumes_only_completed(spark, tmp_path, monkeypatch):
+    import run_sweeps
+
+    grids = {"oneshot": [1, 2], "snapshot": [1, 2], "ris": [4, 16]}
+    tiny = [
+        instances.Sweep("Karate", "UC_0.1", k, 3, grids, 1 << 10)
+        for k in (1, 2)
+    ]
+    monkeypatch.setattr(instances, "sweeps", lambda profile: tiny)
+    builds = []
+    load, build = tables.load_influence_graph, rr_oracle.build_oracle
+    monkeypatch.setattr(
+        tables, "load_influence_graph",
+        lambda *a, **kw: builds.append("graph") or load(*a, **kw),
+    )
+    monkeypatch.setattr(
+        rr_oracle, "build_oracle",
+        lambda *a, **kw: builds.append("oracle") or build(*a, **kw),
+    )
+
+    def rows(out):
+        pdf = run_sweeps.load_trials(spark, str(out)).toPandas()
+        keys = ["k", "alg", "sample_number", "trial"]
+        return pdf.sort_values(keys).reset_index(drop=True)
+
+    fresh = tmp_path / "fresh"
+    run_sweeps.run(spark, "test", str(fresh))
+    # Both sweeps share (network, setting, θ): one graph, one oracle.
+    assert builds == ["graph", "oracle"]
+
+    # k=1 is a partial write (no _SUCCESS), k=2 a completed one.
+    resumed = tmp_path / "resumed"
+    partial = resumed / "Karate__UC_0.1__k1"
+    partial.mkdir(parents=True)
+    (partial / "junk").write_text("interrupted")
+    done = resumed / "Karate__UC_0.1__k2"
+    shutil.copytree(fresh / "Karate__UC_0.1__k2", done)
+    (done / "_kept").write_text("")
+    builds.clear()
+    run_sweeps.run(spark, "test", str(resumed))
+    assert builds == ["graph", "oracle"]
+    assert not (partial / "junk").exists()
+    assert (partial / "_SUCCESS").exists() and (done / "_kept").exists()
+    pd.testing.assert_frame_equal(rows(resumed), rows(fresh))
+
+    # Every sweep done: nothing is built.
+    builds.clear()
+    run_sweeps.run(spark, "test", str(resumed))
+    assert builds == []
