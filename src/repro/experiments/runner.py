@@ -2,17 +2,18 @@
 
 One experiment = run algorithm ``alg`` with sample number ``s`` T times and
 record each random seed set with its oracle influence. Trials are
-independent, so the task list is dealt round-robin to the partitions of an
-RDD whose Python workers hold the broadcast CSR graph and RR oracle and run
-``run_trial_local`` per task; the rows become a DataFrame, and all
-downstream statistics (entropy, means, percentiles, least sample numbers)
-are DataFrame aggregations over that trial table.
+independent, so the task list is packed longest-first (``pack_tasks``) into
+one RDD partition per core, whose Python workers hold the broadcast CSR
+graph and RR oracle and run ``run_trial_local`` per task; the rows become a
+DataFrame, and all downstream statistics (entropy, means, percentiles,
+least sample numbers) are DataFrame aggregations over that trial table.
 
 Trial-result schema:
   network, setting, alg, sample_number, k, trial,
   seed_set (sorted ','-joined), influence (shared-oracle estimate),
   vertex_cost, edge_cost, sample_size
 """
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,42 @@ def run_trial_local(
     }
 
 
+def task_cost(task: TrialTask, n: int) -> int:
+    """A trial's cost in the paper's per-sample units (§3.2, §3.5.2).
+
+    Oneshot and Snapshot traverse about s·k·n samples per greedy run (k
+    steps, n candidates, s samples each); RIS traverses its s RR sets. The
+    mean singleton influence (EPT) multiplies both and cancels out.
+    """
+    if task.alg == "ris":
+        return task.sample_number
+    return task.sample_number * task.k * n
+
+
+def pack_tasks(
+    tasks: list[TrialTask], n_parts: int, n: int
+) -> list[list[TrialTask]]:
+    """Deal ``tasks`` into ``min(len(tasks), n_parts)`` hands (at least one).
+
+    Longest processing time first: tasks in decreasing ``task_cost``, each
+    to the least-loaded hand, so the heaviest hand costs at most
+    total / n_parts + the largest task. Ties keep list order and go to the
+    lowest hand, so the packing is deterministic. When n_parts divides a
+    sweep's T, every hand gets exactly T / n_parts copies of every (alg, s)
+    cell whatever the estimate says; the estimate matters only for small
+    T, such as a single trial per cell.
+    """
+    hands: list[list[TrialTask]] = [
+        [] for _ in range(max(1, min(len(tasks), n_parts)))
+    ]
+    loads = [(0, i) for i in range(len(hands))]
+    for task in sorted(tasks, key=lambda t: -task_cost(t, n)):
+        load, i = heapq.heappop(loads)
+        hands[i].append(task)
+        heapq.heappush(loads, (load + task_cost(task, n), i))
+    return hands
+
+
 def run_trials(
     spark: SparkSession,
     graph: CSRGraph,
@@ -83,10 +120,7 @@ def run_trials(
     sc = spark.sparkContext
     bc_graph = sc.broadcast(graph)
     bc_oracle = sc.broadcast(oracle)
-    # Round-robin, not contiguous slices: a sweep lists tasks by sample
-    # number, whose costs span orders of magnitude.
-    n_parts = max(1, min(len(tasks), sc.defaultParallelism * 4))
-    hands = [tasks[i::n_parts] for i in range(n_parts)]
+    hands = pack_tasks(tasks, sc.defaultParallelism, graph.n)
 
     def work(part):
         for hand in part:
@@ -95,7 +129,7 @@ def run_trials(
                     bc_graph.value, bc_oracle.value, task, base_seed
                 )
 
-    rows = sc.parallelize(hands, n_parts).mapPartitions(work)
+    rows = sc.parallelize(hands, len(hands)).mapPartitions(work)
     return spark.createDataFrame(rows, RESULT_SCHEMA)
 
 

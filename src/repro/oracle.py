@@ -34,10 +34,12 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     finally:
         con.close()
     got = spark_df.toPandas()
-    assert set(expected.columns) == set(got.columns), (
-        f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
-        "— alias every output column identically on both sides"
-    )
+    if set(expected.columns) != set(got.columns):
+        raise AssertionError(
+            f"column mismatch: {sorted(got.columns)} vs "
+            f"{sorted(expected.columns)} — alias every output column "
+            "identically on both sides"
+        )
     pd.testing.assert_frame_equal(
         _canon(got), _canon(expected), check_dtype=False
     )

@@ -1,4 +1,7 @@
-"""Distributed trial runner: end-to-end fan-out, determinism, schema."""
+"""Distributed trial runner: packing, end-to-end fan-out, determinism,
+schema."""
+from collections import Counter
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
@@ -6,9 +9,11 @@ from pyspark.sql import functions as F
 from repro.experiments.rr_oracle import build_oracle_local
 from repro.experiments.runner import (
     TrialTask,
+    pack_tasks,
     run_trial_local,
     run_trials,
     sweep_tasks,
+    task_cost,
 )
 from repro.graphs import assign_probabilities, build_network, to_csr
 
@@ -25,6 +30,48 @@ def test_sweep_tasks_cartesian():
     assert len(tasks) == 9
     assert {t.alg for t in tasks} == {"oneshot", "ris"}
     assert all(t.k == 2 for t in tasks)
+
+
+def _grids():
+    return {"oneshot": [1, 2, 4, 8], "snapshot": [1, 2, 4, 8],
+            "ris": [1, 4, 16, 64, 256]}
+
+
+@pytest.mark.parametrize("trials", [1, 3, 8])
+@pytest.mark.parametrize("p", [1, 4, 16])
+def test_pack_tasks_is_a_deterministic_lpt_partition(trials, p):
+    n = 34
+    tasks = sweep_tasks("K", "S", 4, _grids(), trials)
+    hands = pack_tasks(tasks, p, n)
+    assert len(hands) == min(len(tasks), p)
+    packed = [t for hand in hands for t in hand]
+    assert len(packed) == len(tasks) and set(packed) == set(tasks)
+    assert pack_tasks(list(tasks), p, n) == hands
+    costs = [task_cost(t, n) for t in tasks]
+    heaviest = max(sum(task_cost(t, n) for t in hand) for hand in hands)
+    assert heaviest <= sum(costs) / p + max(costs)
+
+
+def test_task_cost_follows_the_paper():
+    assert task_cost(TrialTask("K", "S", "oneshot", 8, 4, 0), 34) == 8 * 4 * 34
+    assert task_cost(TrialTask("K", "S", "snapshot", 8, 4, 0), 34) == 8 * 4 * 34
+    assert task_cost(TrialTask("K", "S", "ris", 8, 4, 0), 34) == 8
+
+
+def test_pack_tasks_empty_gives_one_empty_hand():
+    assert pack_tasks([], 4, 34) == [[]]
+
+
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("mult", [1, 3])
+def test_pack_tasks_splits_every_cell_evenly(p, mult):
+    # When the hand count divides T, every (alg, s) cell's copies are
+    # spread evenly over the hands, whatever the cost estimate.
+    tasks = sweep_tasks("K", "S", 2, _grids(), p * mult)
+    hands = pack_tasks(tasks, p, 34)
+    per_hand = [Counter((t.alg, t.sample_number) for t in h) for h in hands]
+    for cell in {(t.alg, t.sample_number) for t in tasks}:
+        assert [c[cell] for c in per_hand] == [mult] * p
 
 
 def test_run_trial_local_deterministic(karate):

@@ -66,11 +66,14 @@ def test_clustering_coefficient_work(spark):
 
 
 def test_build_oracle_is_one_job(spark, karate_uc):
-    oracle, jobs, _ = spark_work(
+    oracle, jobs, tasks = spark_work(
         spark, lambda: build_oracle(spark, karate_uc, 3 * 8192 + 5)
     )
     assert oracle.theta == 3 * 8192 + 5
     assert jobs == 1
+    # Four batches of 8192, one partition per core: every Python task
+    # pays the worker's per-task set-up.
+    assert tasks == min(4, spark.sparkContext.defaultParallelism)
 
 
 def test_run_trials_collect_is_one_job(spark, karate_uc):
@@ -78,8 +81,9 @@ def test_run_trials_collect_is_one_job(spark, karate_uc):
     tasks = sweep_tasks(
         "Karate", "UC_0.1", 1, {"oneshot": [1], "snapshot": [2], "ris": [8]}, 2
     )
-    rows, jobs, _ = spark_work(
+    rows, jobs, n_tasks = spark_work(
         spark, lambda: run_trials(spark, karate_uc, oracle, tasks).collect()
     )
     assert len(rows) == len(tasks)
     assert jobs == 1
+    assert n_tasks == min(len(tasks), spark.sparkContext.defaultParallelism)

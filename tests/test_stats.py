@@ -1,7 +1,13 @@
 """Table 3 statistics: degrees (oracle-checked), clustering, distances."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
+import repro
 from repro.graphs import build_network, to_csr
 from repro.graphs.stats import (
     average_distance,
@@ -32,6 +38,31 @@ def test_degree_query_against_duckdb(spark, karate_df):
         "SELECT src, COUNT(*) AS d FROM edges GROUP BY src",
         edges=karate_df,
     )
+
+
+def test_assert_equivalent_column_check_survives_optimize():
+    # A real raise, not an ``assert``: it must fire under ``python -O``.
+    code = """
+import pandas as pd
+from repro.oracle import assert_equivalent
+
+class Got:
+    def toPandas(self):
+        return pd.DataFrame({"a": [1]})
+
+try:
+    assert_equivalent(Got(), "SELECT 1 AS b")
+except AssertionError as e:
+    assert_msg = str(e)
+print(assert_msg)
+"""
+    src = str(Path(repro.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    ).stdout
+    assert out.startswith("column mismatch: ['a'] vs ['b']")
 
 
 def test_clustering_triangle_spark(spark):
