@@ -12,6 +12,10 @@ scaled-down grids below keep every qualitative comparison (see DESIGN.md
 from dataclasses import dataclass, field
 
 
+# The paper's ★ (large) instances, by their local substitutes.
+STAR_NETWORKS = ("youtube_lite", "pokec_lite")
+
+
 def pow2(lo: int, hi: int) -> list[int]:
     return [2**i for i in range(lo, hi + 1)]
 
@@ -80,8 +84,8 @@ def sweeps(profile: str = "quick") -> list[Sweep]:
         out.append(_small("WikiVote_syn", setting, 1, 40, 7, 14))
     # ★ large substitutes: Snapshot + RIS only, T = 20 (paper's ★ rows).
     for setting in ("UC_0.01", "IWC"):
-        out.append(_large("youtube_lite", setting, 1, 20, 5, 15))
-        out.append(_large("pokec_lite", setting, 1, 20, 5, 15))
+        for net in STAR_NETWORKS:
+            out.append(_large(net, setting, 1, 20, 5, 15))
     return out
 
 
@@ -105,7 +109,7 @@ def traversal_instances(profile: str = "quick"):
                 continue
             trials = 200 if net in ("Karate", "Physicians_syn", "BA_s") else 50
             rows.append((net, setting, trials, True))
-    for net in ("youtube_lite", "pokec_lite"):
+    for net in STAR_NETWORKS:
         for setting in ("UC_0.01", "IWC", "OWC"):
             rows.append((net, setting, 5, False))
     return rows

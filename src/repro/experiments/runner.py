@@ -1,4 +1,4 @@
-"""Distributed trial fan-out (§4's methodology).
+"""Distributed trial fan-out (§4's methodology) and the sweep runner.
 
 One experiment = run algorithm ``alg`` with sample number ``s`` T times and
 record each random seed set with its oracle influence. Trials are
@@ -8,18 +8,30 @@ graph and RR oracle and run ``run_trial_local`` per task; the rows become a
 DataFrame, and all downstream statistics (entropy, means, percentiles,
 least sample numbers) are DataFrame aggregations over that trial table.
 
+``run_sweeps`` runs a profile's whole sweep grid and persists the trials as
+parquet, one directory per sweep; Tables 5–7 and 9 aggregate that one pool
+(``load_trials``), as in the paper (one pool of recorded trials, many
+analyses). Sweeps that share (network, setting, oracle θ) share one
+influence graph and one RR oracle: each group builds both once, runs its
+sweeps and drops them. A sweep directory counts as done only once Spark has
+written its ``_SUCCESS`` marker, so an interrupted run resumes where it
+stopped and rewrites a partial write.
+
 Trial-result schema:
   network, setting, alg, sample_number, k, trial,
   seed_set (sorted ','-joined), influence (shared-oracle estimate),
   vertex_cost, edge_cost, sample_size
 """
 import heapq
+import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.algorithms import ALGORITHMS, make_estimator, run_greedy
+from repro.experiments import instances, rr_oracle, tables
 from repro.experiments.rr_oracle import RROracle
 from repro.graphs.csr import CSRGraph
 from repro.util import trial_rng
@@ -147,3 +159,43 @@ def sweep_tasks(
         for s in grid
         for t in range(trials)
     ]
+
+
+def sweep_dir(out_dir: str, sw: instances.Sweep) -> str:
+    return os.path.join(out_dir, f"{sw.network}__{sw.setting}__k{sw.k}")
+
+
+def run_sweeps(spark: SparkSession, profile: str, out_dir: str) -> str:
+    """Run every sweep of ``profile`` not yet done under ``out_dir``."""
+    groups: dict[tuple, list[instances.Sweep]] = {}
+    for sw in instances.sweeps(profile):
+        key = (sw.network, sw.setting, sw.oracle_theta)
+        groups.setdefault(key, []).append(sw)
+    for (network, setting, theta), group in groups.items():
+        todo = []
+        for sw in group:
+            part = sweep_dir(out_dir, sw)
+            if os.path.exists(os.path.join(part, "_SUCCESS")):
+                print(f"skip (done): {part}")
+            else:
+                todo.append(sw)
+        if not todo:
+            continue
+        graph = tables.load_influence_graph(spark, network, setting)
+        oracle = rr_oracle.build_oracle(spark, graph, theta)
+        for sw in todo:
+            t0 = time.time()
+            tasks = sweep_tasks(network, setting, sw.k, sw.grids, sw.trials)
+            trials = run_trials(spark, graph, oracle, tasks)
+            trials.write.mode("overwrite").parquet(sweep_dir(out_dir, sw))
+            print(
+                f"{network} {setting} k={sw.k} T={sw.trials}: "
+                f"{time.time()-t0:.1f}s"
+            )
+        del graph, oracle
+    return out_dir
+
+
+def load_trials(spark: SparkSession, out_dir: str) -> DataFrame:
+    """Every sweep's trials under ``out_dir`` as one DataFrame."""
+    return spark.read.parquet(os.path.join(out_dir, "*"))

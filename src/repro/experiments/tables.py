@@ -1,8 +1,8 @@
 """Every evaluation table (Tables 3–9) as one function.
 
 A table builds the influence graphs and RR oracles it reads and drops them
-when it returns. Tables 5–7 and 9 aggregate the shared trial DataFrame that
-``jobs/run_sweeps.py`` writes; Table 9 also reads Table 8.
+when it returns. Tables 5–7 aggregate the shared trial DataFrame that
+``runner.run_sweeps`` writes; Table 9 is arithmetic over Tables 6, 7 and 8.
 """
 import numpy as np
 import pandas as pd
@@ -99,10 +99,11 @@ def table8(spark: SparkSession, profile: str = "quick") -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def table9(trials: DataFrame, t8: pd.DataFrame) -> pd.DataFrame:
+def table9(
+    t6: pd.DataFrame, t7: pd.DataFrame, t8: pd.DataFrame
+) -> pd.DataFrame:
     """Traversal cost conditioned on identical accuracy (§6): Table 8's cost
     at sample number 1 × the comparable number ratio to Snapshot."""
-    t6, t7 = table6_and_7(trials)
     return table9_rows(t8, t6, t7).sort_values(["network", "setting", "alg"])
 
 

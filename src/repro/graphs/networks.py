@@ -17,14 +17,13 @@ from repro.graphs import generators, karate
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """One network: how to build it, and whether it is a ★ (large) instance."""
+    """One network: how to build it, and the paper's size for it."""
 
     name: str
     builder: Callable[[], pd.DataFrame]
     kind: str  # "exact" | "exact-model" | "substitute"
     paper_n: int
     paper_m: int
-    large: bool = False  # paper's ★ instances (T=20 trials, no Oneshot)
 
 
 def _physicians() -> pd.DataFrame:
@@ -87,12 +86,10 @@ NETWORKS: dict[str, NetworkSpec] = {
         "WikiVote_syn", _wiki_vote, "substitute", 7115, 103_689
     ),
     "youtube_lite": NetworkSpec(
-        "youtube_lite", _youtube_lite, "substitute", 1_134_889, 5_975_248,
-        large=True,
+        "youtube_lite", _youtube_lite, "substitute", 1_134_889, 5_975_248
     ),
     "pokec_lite": NetworkSpec(
-        "pokec_lite", _pokec_lite, "substitute", 1_632_802, 30_622_564,
-        large=True,
+        "pokec_lite", _pokec_lite, "substitute", 1_632_802, 30_622_564
     ),
     "BA_s": NetworkSpec(
         "BA_s", lambda: generators.barabasi_albert(1000, 1, seed=46),

@@ -17,7 +17,8 @@ def driver_memory() -> str:
 
 
 def get_spark(app: str) -> SparkSession:
-    """Local-mode session: all cores, 64 shuffle partitions, Arrow on.
+    """Local-mode session: all cores, 64 shuffle partitions, Arrow on, no
+    console progress bars.
 
     Master and driver memory go in ``PYSPARK_SUBMIT_ARGS``, which pyspark
     reads only when the first ``getOrCreate`` launches the JVM; a value
@@ -33,5 +34,6 @@ def get_spark(app: str) -> SparkSession:
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

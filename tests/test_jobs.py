@@ -1,26 +1,25 @@
-"""Smoke tests: every table runs end-to-end at the test profile, and the
-sweep job resumes only completed sweeps."""
+"""Smoke tests: every table runs end-to-end at the test profile, the sweep
+runner resumes only completed sweeps, and the one job script writes exactly
+the tables it is asked for."""
+import importlib.util
 import os
 import shutil
-import sys
 
 import pandas as pd
 import pytest
 
-from repro.experiments import instances, rr_oracle, tables
+from repro.experiments import instances, rr_oracle, runner, tables
 
-JOBS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs")
-if JOBS_DIR not in sys.path:
-    sys.path.insert(0, JOBS_DIR)
+JOB = os.path.join(
+    os.path.dirname(os.path.dirname(__file__)), "jobs", "make_all_tables.py"
+)
 
 
 @pytest.fixture(scope="module")
 def trials(spark, tmp_path_factory):
-    import run_sweeps
-
     out = str(tmp_path_factory.mktemp("trials"))
-    run_sweeps.run(spark, profile="test", out_dir=out)
-    return run_sweeps.load_trials(spark, out).cache()
+    runner.run_sweeps(spark, "test", out)
+    return runner.load_trials(spark, out).cache()
 
 
 def test_table3_job(spark):
@@ -83,7 +82,8 @@ def test_table8_job(spark):
 
 def test_table9_job(spark, trials):
     t8 = tables.table8(spark, profile="test")
-    t9 = tables.table9(trials, t8)
+    t6, t7 = tables.table6_and_7(trials)
+    t9 = tables.table9(t6, t7, t8)
     assert set(t9["alg"]) == {"oneshot", "snapshot", "ris"}
     assert (t9["cost_per_gamma"].dropna() > 0).all()
 
@@ -100,8 +100,6 @@ def test_table4_theta_follows_profile():
 
 
 def test_run_sweeps_resumes_only_completed(spark, tmp_path, monkeypatch):
-    import run_sweeps
-
     grids = {"oneshot": [1, 2], "snapshot": [1, 2], "ris": [4, 16]}
     tiny = [
         instances.Sweep("Karate", "UC_0.1", k, 3, grids, 1 << 10)
@@ -120,12 +118,12 @@ def test_run_sweeps_resumes_only_completed(spark, tmp_path, monkeypatch):
     )
 
     def rows(out):
-        pdf = run_sweeps.load_trials(spark, str(out)).toPandas()
+        pdf = runner.load_trials(spark, str(out)).toPandas()
         keys = ["k", "alg", "sample_number", "trial"]
         return pdf.sort_values(keys).reset_index(drop=True)
 
     fresh = tmp_path / "fresh"
-    run_sweeps.run(spark, "test", str(fresh))
+    runner.run_sweeps(spark, "test", str(fresh))
     # Both sweeps share (network, setting, θ): one graph, one oracle.
     assert builds == ["graph", "oracle"]
 
@@ -138,7 +136,7 @@ def test_run_sweeps_resumes_only_completed(spark, tmp_path, monkeypatch):
     shutil.copytree(fresh / "Karate__UC_0.1__k2", done)
     (done / "_kept").write_text("")
     builds.clear()
-    run_sweeps.run(spark, "test", str(resumed))
+    runner.run_sweeps(spark, "test", str(resumed))
     assert builds == ["graph", "oracle"]
     assert not (partial / "junk").exists()
     assert (partial / "_SUCCESS").exists() and (done / "_kept").exists()
@@ -146,5 +144,25 @@ def test_run_sweeps_resumes_only_completed(spark, tmp_path, monkeypatch):
 
     # Every sweep done: nothing is built.
     builds.clear()
-    run_sweeps.run(spark, "test", str(resumed))
+    runner.run_sweeps(spark, "test", str(resumed))
     assert builds == []
+
+
+def test_make_all_tables_writes_requested_tables(spark, tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("make_all_tables", JOB)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+
+    job.main(["--profile", "test", "--tables", "8", "--out", str(tmp_path)])
+    assert os.listdir(tmp_path) == ["table8.md"]
+    expected = tables.to_markdown(tables.table8(spark, "test")) + "\n"
+    assert (tmp_path / "table8.md").read_text() == expected
+
+    # A table outside 3-9 is a usage error, raised before Spark is asked for.
+    def no_spark(app):
+        raise AssertionError("Spark started for a bad --tables")
+
+    monkeypatch.setattr(job, "get_spark", no_spark)
+    with pytest.raises(SystemExit) as exit_:
+        job.main(["--profile", "test", "--tables", "2", "--out", str(tmp_path)])
+    assert exit_.value.code == 2

@@ -1,6 +1,7 @@
 """Network registry: every entry builds and matches its documented shape."""
 import pytest
 
+from repro.experiments.instances import STAR_NETWORKS
 from repro.graphs.networks import NETWORKS, build_network_pandas
 
 SMALL = ["Karate", "Physicians_syn", "GrQc_syn", "WikiVote_syn", "BA_s", "BA_d"]
@@ -40,10 +41,9 @@ def test_scaled_substitutes_keep_density(name):
     assert 0.5 * paper <= ours <= 2.0 * paper
 
 
-@pytest.mark.parametrize("name", ["youtube_lite", "pokec_lite"])
+@pytest.mark.parametrize("name", STAR_NETWORKS)
 def test_large_substitutes(name):
     spec = NETWORKS[name]
-    assert spec.large
     pdf = build_network_pandas(name)
     n = len(set(pdf["src"]) | set(pdf["dst"]))
     assert n >= 10_000  # big enough to behave like a ★ instance locally
