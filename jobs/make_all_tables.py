@@ -65,9 +65,8 @@ def main(argv: list[str] | None = None) -> None:
         ))
     if want & {5, 6, 7, 9}:
         trials_dir = os.path.join(RESULTS_DIR, f"trials_{args.profile}")
-        trials = load_trials(
-            spark, run_sweeps(spark, args.profile, trials_dir)
-        ).cache()
+        run_sweeps(spark, args.profile, trials_dir)
+        trials = load_trials(spark, trials_dir).cache()
     if 5 in want:
         write(5, tables.table5(trials))
     if want & {6, 7, 9}:

@@ -9,7 +9,7 @@ DataFrame, and all downstream statistics (entropy, means, percentiles,
 least sample numbers) are DataFrame aggregations over that trial table.
 
 ``run_sweeps`` runs a profile's whole sweep grid and persists the trials as
-parquet, one directory per sweep; Tables 5–7 and 9 aggregate that one pool
+parquet, one directory per sweep; Tables 5–7 aggregate that one pool
 (``load_trials``), as in the paper (one pool of recorded trials, many
 analyses). Sweeps that share (network, setting, oracle θ) share one
 influence graph and one RR oracle: each group builds both once, runs its
@@ -165,7 +165,7 @@ def sweep_dir(out_dir: str, sw: instances.Sweep) -> str:
     return os.path.join(out_dir, f"{sw.network}__{sw.setting}__k{sw.k}")
 
 
-def run_sweeps(spark: SparkSession, profile: str, out_dir: str) -> str:
+def run_sweeps(spark: SparkSession, profile: str, out_dir: str) -> None:
     """Run every sweep of ``profile`` not yet done under ``out_dir``."""
     groups: dict[tuple, list[instances.Sweep]] = {}
     for sw in instances.sweeps(profile):
@@ -193,7 +193,6 @@ def run_sweeps(spark: SparkSession, profile: str, out_dir: str) -> str:
                 f"{time.time()-t0:.1f}s"
             )
         del graph, oracle
-    return out_dir
 
 
 def load_trials(spark: SparkSession, out_dir: str) -> DataFrame:

@@ -153,7 +153,8 @@ def test_make_all_tables_writes_requested_tables(spark, tmp_path, monkeypatch):
     job = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(job)
 
-    job.main(["--profile", "test", "--tables", "8", "--out", str(tmp_path)])
+    out = str(tmp_path)
+    job.main(["--profile", "test", "--tables", "8", "--out", out])
     assert os.listdir(tmp_path) == ["table8.md"]
     expected = tables.to_markdown(tables.table8(spark, "test")) + "\n"
     assert (tmp_path / "table8.md").read_text() == expected
@@ -164,5 +165,5 @@ def test_make_all_tables_writes_requested_tables(spark, tmp_path, monkeypatch):
 
     monkeypatch.setattr(job, "get_spark", no_spark)
     with pytest.raises(SystemExit) as exit_:
-        job.main(["--profile", "test", "--tables", "2", "--out", str(tmp_path)])
+        job.main(["--profile", "test", "--tables", "2", "--out", out])
     assert exit_.value.code == 2
